@@ -12,8 +12,6 @@
 //! * [`model`] — the driver: spawn the mesh, step the model, collect the
 //!   execution trace and per-rank results; [`model::run_model_resilient`]
 //!   adds checkpoint/restart recovery on top (see `agcm-resilience`);
-//! * [`timers`] — wall-clock component timers (the measurement
-//!   infrastructure of Tables 1–3);
 //! * [`report`] — fixed-width table formatting for the `reproduce`
 //!   harness, including paper-vs-measured columns;
 //! * [`templates`] — the paper's §5 reusable-component design: a
@@ -24,7 +22,6 @@ pub mod config;
 pub mod model;
 pub mod report;
 pub mod templates;
-pub mod timers;
 
 pub use config::{AgcmConfig, ConfigError};
 pub use model::{

@@ -108,15 +108,25 @@ impl Field3D {
     /// Copy one latitude row (all longitudes) at `(j, k)` — the unit of
     /// data the polar filter redistributes.
     pub fn row(&self, j: usize, k: usize) -> Vec<f64> {
+        self.row_slice(j, k).to_vec()
+    }
+
+    /// Borrow one latitude row at `(j, k)` (rows are contiguous).
+    pub fn row_slice(&self, j: usize, k: usize) -> &[f64] {
         let start = self.offset(0, j, k);
-        self.data[start..start + self.ni].to_vec()
+        &self.data[start..start + self.ni]
+    }
+
+    /// Mutably borrow one latitude row at `(j, k)`.
+    pub fn row_slice_mut(&mut self, j: usize, k: usize) -> &mut [f64] {
+        let start = self.offset(0, j, k);
+        &mut self.data[start..start + self.ni]
     }
 
     /// Overwrite one latitude row at `(j, k)`.
     pub fn set_row(&mut self, j: usize, k: usize, row: &[f64]) {
         assert_eq!(row.len(), self.ni, "row length must equal n_lon");
-        let start = self.offset(0, j, k);
-        self.data[start..start + self.ni].copy_from_slice(row);
+        self.row_slice_mut(j, k).copy_from_slice(row);
     }
 
     /// One vertical column at `(i, j)` — the unit the physics load
@@ -263,6 +273,9 @@ mod tests {
         assert_eq!(f.column(2, 1), vec![12.0, 112.0]);
         f.set_row(0, 1, &[9.0, 8.0, 7.0, 6.0]);
         assert_eq!(f.row(0, 1), vec![9.0, 8.0, 7.0, 6.0]);
+        assert_eq!(f.row_slice(0, 1), &[9.0, 8.0, 7.0, 6.0]);
+        f.row_slice_mut(2, 0)[3] = -5.0;
+        assert_eq!(f.get(3, 2, 0), -5.0);
         f.set_column(3, 2, &[-1.0, -2.0]);
         assert_eq!(f.get(3, 2, 0), -1.0);
         assert_eq!(f.get(3, 2, 1), -2.0);

@@ -11,7 +11,7 @@
 //! unbalanced one.
 
 use super::Transfer;
-use crate::step::{column_cost, run_column, PhysicsConfig};
+use crate::step::{column_cost, run_column, ColumnScratch, PhysicsConfig};
 use agcm_grid::decomp::Subdomain;
 use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
@@ -46,6 +46,10 @@ pub fn run_balanced(
     let cfg = PhysicsConfig::for_grid(grid);
     let me = comm.rank();
     let nk = grid.n_lev;
+    // One forcing table for the pass, covering foreign columns too.
+    let mut scratch = ColumnScratch::default();
+    scratch.prepare(grid, t);
+    let forcing = &scratch.forcing;
 
     // --- Select columns to delegate, one contiguous scan, no overlap. ----
     let my_out: Vec<&Transfer> = plan.iter().filter(|tr| tr.from == me).collect();
@@ -57,7 +61,7 @@ pub fn run_balanced(
             let mut shipped = 0.0;
             while shipped < tr.amount && cursor < sub.ni * sub.nj {
                 let (i, j) = (cursor % sub.ni, cursor / sub.ni);
-                let cost = column_cost(&cfg, grid, sub.i0 + i, sub.j0 + j, t).flops;
+                let cost = column_cost(&cfg, forcing, sub.i0 + i, sub.j0 + j).flops;
                 delegated[slot].push((i, j));
                 taken[cursor] = true;
                 shipped += cost;
@@ -72,7 +76,7 @@ pub fn run_balanced(
         let cols = &delegated[slot];
         delegated_cost += cols
             .iter()
-            .map(|&(i, j)| column_cost(&cfg, grid, sub.i0 + i, sub.j0 + j, t).flops)
+            .map(|&(i, j)| column_cost(&cfg, forcing, sub.i0 + i, sub.j0 + j).flops)
             .sum::<f64>();
         let mut meta: Vec<i64> = Vec::with_capacity(1 + 2 * cols.len());
         meta.push(cols.len() as i64);
@@ -80,7 +84,7 @@ pub fn run_balanced(
         for &(i, j) in cols {
             meta.push((sub.i0 + i) as i64);
             meta.push((sub.j0 + j) as i64);
-            data.extend_from_slice(&theta.column(i, j));
+            data.extend((0..nk).map(|k| theta.get(i, j, k)));
         }
         comm.send(tr.to, TAG_META, Payload::I64(meta));
         comm.send(tr.to, TAG_DATA, Payload::F64(data));
@@ -94,11 +98,9 @@ pub fn run_balanced(
             if taken[j * sub.ni + i] {
                 continue;
             }
-            let mut col = theta.column(i, j);
-            let cost = run_column(&cfg, grid, sub.i0 + i, sub.j0 + j, t, &mut col);
+            let cost = scratch.run_in_place(&cfg, sub, theta, i, j);
             flops += cost;
             local_own += cost;
-            theta.set_column(i, j, &col);
         }
     }
 
@@ -111,7 +113,7 @@ pub fn run_balanced(
         for c in 0..n_cols {
             let (gi, gj) = (meta[1 + 2 * c] as usize, meta[2 + 2 * c] as usize);
             let col = &mut data[c * nk..(c + 1) * nk];
-            flops += run_column(&cfg, grid, gi, gj, t, col);
+            flops += run_column(&cfg, &scratch.forcing, gi, gj, col, &mut scratch.net);
         }
         comm.send(tr.from, TAG_RESULT, Payload::F64(data));
     }

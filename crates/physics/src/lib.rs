@@ -18,6 +18,8 @@
 //!   cloud field ("unpredictability of the cloud distribution");
 //! * [`convection`] — conditionally-triggered cumulus adjustment with a
 //!   data-dependent iteration count;
+//! * [`forcing`] — the per-pass table of latitude and longitude factors
+//!   every column's cloud, sunlight and instability are built from;
 //! * [`step`] — the per-column physics step that does the arithmetic and
 //!   records its cost;
 //! * [`load`] — load estimation from the previous pass's measured cost
@@ -30,6 +32,7 @@
 pub mod balance;
 pub mod clouds;
 pub mod convection;
+pub mod forcing;
 pub mod load;
 pub mod radiation;
 pub mod step;

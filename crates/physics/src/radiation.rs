@@ -54,22 +54,42 @@ pub fn shortwave(column: &mut [f64], cos_zenith: f64, cloud: f64) -> f64 {
 /// Longwave emissivity exchange of one column: every layer exchanges with
 /// every other, O(K²) — the heavy, always-on part of radiation. Returns
 /// the flop count.
-pub fn longwave(column: &mut [f64], cloud: f64) -> f64 {
+///
+/// Layer `i` moves toward layer `j` by `ε (T_j − T_i) / (1 + (i − j)²)`,
+/// all from the incoming profile. The sweep runs over source levels `j`
+/// in ascending order and, for each, updates every receiving level at
+/// once (independent lanes, no loop-carried dependency), skipping the
+/// self term. Each `net[i]` therefore sums the same terms in the same
+/// ascending-`j` order as a receiving-level-outer loop would.
+///
+/// `denominators` holds `1 + d²` for the signed level offsets
+/// `d = −(K−1) ..= K−1` (see
+/// [`ColumnForcing::longwave_denominators`](crate::forcing::ColumnForcing::longwave_denominators)),
+/// so source level `j` reads one contiguous slice indexed by `i`. `net`
+/// is caller-owned scratch of the column's length.
+pub fn longwave(column: &mut [f64], cloud: f64, denominators: &[f64], net: &mut [f64]) -> f64 {
     let k = column.len();
+    assert_eq!(net.len(), k, "net buffer must match the column");
+    assert_eq!(
+        denominators.len() + 1,
+        2 * k,
+        "one denominator per level offset"
+    );
     let emissivity = 0.8 + 0.15 * cloud;
-    // Pairwise exchange: layer i cools toward layer j by a distance-damped
-    // amount. Written as the AGCM would: explicit nested loops.
-    let snapshot: Vec<f64> = column.to_vec();
-    for i in 0..k {
-        let mut net = 0.0;
-        for (j, &tj) in snapshot.iter().enumerate() {
-            if i == j {
-                continue;
-            }
-            let dist = (i as f64 - j as f64).abs();
-            net += emissivity * (tj - snapshot[i]) / (1.0 + dist * dist);
+    net.fill(0.0);
+    for (j, &tj) in column.iter().enumerate() {
+        let den = &denominators[k - 1 - j..2 * k - 1 - j];
+        let (net_lo, net_hi) = net.split_at_mut(j);
+        let (col_lo, col_hi) = column.split_at(j);
+        for ((n, &ti), &d) in net_lo.iter_mut().zip(col_lo).zip(&den[..j]) {
+            *n += emissivity * (tj - ti) / d;
         }
-        column[i] += 1.0e-3 * net;
+        for ((n, &ti), &d) in net_hi[1..].iter_mut().zip(&col_hi[1..]).zip(&den[j + 1..]) {
+            *n += emissivity * (tj - ti) / d;
+        }
+    }
+    for (v, &n) in column.iter_mut().zip(net.iter()) {
+        *v += 1.0e-3 * n;
     }
     LW_FLOPS_PER_PAIR * (k * k) as f64
 }
@@ -77,6 +97,15 @@ pub fn longwave(column: &mut [f64], cloud: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forcing::ColumnForcing;
+    use agcm_grid::latlon::GridSpec;
+
+    /// Longwave on one column with its own table and scratch.
+    fn lw(column: &mut [f64], cloud: f64) -> f64 {
+        let table = ColumnForcing::new(&GridSpec::new(1, 1, column.len()), 0.0);
+        let mut net = vec![0.0; column.len()];
+        longwave(column, cloud, table.longwave_denominators(), &mut net)
+    }
 
     #[test]
     fn noon_at_greenwich_at_t0() {
@@ -139,7 +168,7 @@ mod tests {
         let mut col: Vec<f64> = (0..9).map(|i| i as f64).collect();
         let spread_before = col[8] - col[0];
         for _ in 0..100 {
-            longwave(&mut col, 0.3);
+            lw(&mut col, 0.3);
         }
         let spread_after = col[8] - col[0];
         assert!(
@@ -152,8 +181,8 @@ mod tests {
     fn longwave_flops_quadratic_in_levels() {
         let mut a = vec![1.0; 9];
         let mut b = vec![1.0; 18];
-        let fa = longwave(&mut a, 0.0);
-        let fb = longwave(&mut b, 0.0);
+        let fa = lw(&mut a, 0.0);
+        let fb = lw(&mut b, 0.0);
         assert_eq!(fb / fa, 4.0);
     }
 
@@ -161,7 +190,7 @@ mod tests {
     fn longwave_conserves_mean_approximately() {
         let mut col: Vec<f64> = (0..9).map(|i| (i as f64 * 1.7).sin()).collect();
         let mean_before: f64 = col.iter().sum::<f64>() / 9.0;
-        longwave(&mut col, 0.5);
+        lw(&mut col, 0.5);
         let mean_after: f64 = col.iter().sum::<f64>() / 9.0;
         assert!(
             (mean_before - mean_after).abs() < 1e-9,

@@ -7,13 +7,14 @@
 //! of (lat, lon, t) — which is what makes load estimation from the
 //! previous pass a sensible strategy, exactly as the paper found.
 
-use crate::clouds::cloud_fraction;
-use crate::convection::{adjust, adjustment_iterations, instability};
-use crate::radiation::{is_day, longwave, shortwave, solar_zenith_cos};
+use crate::convection::{adjust, adjustment_iterations};
+use crate::forcing::ColumnForcing;
+use crate::radiation::{longwave, shortwave};
 use agcm_grid::decomp::Subdomain;
 use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::comm::Comm;
+use std::cell::RefCell;
 
 /// Static configuration of the physics emulation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,13 +47,14 @@ pub struct ColumnCost {
     pub flops: f64,
 }
 
-/// Predict the cost of the column at grid point (i, j) at time `t` without
-/// doing the work — used to pick which columns to delegate when balancing.
-pub fn column_cost(cfg: &PhysicsConfig, grid: &GridSpec, i: usize, j: usize, t: f64) -> ColumnCost {
-    let (lat, lon) = (grid.latitude(j), grid.longitude(i));
+/// Predict the cost of the column at global grid point (i, j) without
+/// doing the work — used to pick which columns to delegate when
+/// balancing. `forcing` is the pass's table ([`ColumnForcing`]).
+pub fn column_cost(cfg: &PhysicsConfig, forcing: &ColumnForcing, i: usize, j: usize) -> ColumnCost {
+    let inputs = forcing.at(i, j);
     let k = cfg.n_lev as f64;
-    let day = is_day(lat, lon, t);
-    let iters = adjustment_iterations(instability(lat, lon, t));
+    let day = inputs.cos_zenith > 0.0;
+    let iters = adjustment_iterations(inputs.instability);
     let mut flops = cfg.base_flops + crate::radiation::LW_FLOPS_PER_PAIR * k * k; // longwave
     if day {
         flops += crate::radiation::SW_FLOPS_PER_LEVEL * k; // shortwave
@@ -65,33 +67,69 @@ pub fn column_cost(cfg: &PhysicsConfig, grid: &GridSpec, i: usize, j: usize, t: 
     }
 }
 
-/// Execute the physics on one column profile in place; returns the flops
-/// actually performed (matches [`column_cost`] by construction).
+/// Execute the physics on the column profile of global grid point
+/// (i, j) in place; returns the flops actually performed (matches
+/// [`column_cost`] by construction). `net` is longwave scratch of the
+/// column's length.
 pub fn run_column(
     cfg: &PhysicsConfig,
-    grid: &GridSpec,
+    forcing: &ColumnForcing,
     i: usize,
     j: usize,
-    t: f64,
     column: &mut [f64],
+    net: &mut [f64],
 ) -> f64 {
     assert_eq!(column.len(), cfg.n_lev);
-    let (lat, lon) = (grid.latitude(j), grid.longitude(i));
-    let cloud = cloud_fraction(lat, lon, t);
+    let inputs = forcing.at(i, j);
+    let cloud = inputs.cloud;
     let mut flops = cfg.base_flops;
     // Base parameterizations: a cheap smoothing sweep standing in for PBL
     // and surface fluxes.
     for v in column.iter_mut() {
         *v += 1.0e-4 * (cloud - 0.5);
     }
-    flops += longwave(column, cloud);
-    let cosz = solar_zenith_cos(lat, lon, t);
-    if cosz > 0.0 {
-        flops += shortwave(column, cosz, cloud);
+    flops += longwave(column, cloud, forcing.longwave_denominators(), net);
+    if inputs.cos_zenith > 0.0 {
+        flops += shortwave(column, inputs.cos_zenith, cloud);
     }
-    let iters = adjustment_iterations(instability(lat, lon, t));
-    flops += adjust(column, iters);
+    flops += adjust(column, adjustment_iterations(inputs.instability));
     flops
+}
+
+/// Reusable per-pass state: the forcing table and one column's buffers.
+#[derive(Default)]
+pub(crate) struct ColumnScratch {
+    pub(crate) forcing: ColumnForcing,
+    column: Vec<f64>,
+    pub(crate) net: Vec<f64>,
+}
+
+impl ColumnScratch {
+    /// Ready the scratch for a pass over `grid` at time `t`.
+    pub(crate) fn prepare(&mut self, grid: &GridSpec, t: f64) {
+        self.forcing.rebuild(grid, t);
+        self.column.resize(grid.n_lev, 0.0);
+        self.net.resize(grid.n_lev, 0.0);
+    }
+
+    /// Run the physics on local column (i, j) of `theta`, the field of
+    /// subdomain `sub`, through the column buffer.
+    pub(crate) fn run_in_place(
+        &mut self,
+        cfg: &PhysicsConfig,
+        sub: &Subdomain,
+        theta: &mut Field3D,
+        i: usize,
+        j: usize,
+    ) -> f64 {
+        for (k, v) in self.column.iter_mut().enumerate() {
+            *v = theta.get(i, j, k);
+        }
+        let (gi, gj) = (sub.i0 + i, sub.j0 + j);
+        let flops = run_column(cfg, &self.forcing, gi, gj, &mut self.column, &mut self.net);
+        theta.set_column(i, j, &self.column);
+        flops
+    }
 }
 
 /// The physics driver for one rank's subdomain.
@@ -99,6 +137,10 @@ pub struct PhysicsStep {
     cfg: PhysicsConfig,
     grid: GridSpec,
     sub: Subdomain,
+    /// Forcing table and column buffers, reused across passes so a pass
+    /// allocates nothing. `RefCell`: passes take `&self` and each rank
+    /// owns its own driver.
+    scratch: RefCell<ColumnScratch>,
 }
 
 impl PhysicsStep {
@@ -108,6 +150,7 @@ impl PhysicsStep {
             cfg: PhysicsConfig::for_grid(&grid),
             grid,
             sub,
+            scratch: RefCell::new(ColumnScratch::default()),
         }
     }
 
@@ -129,18 +172,11 @@ impl PhysicsStep {
             (self.sub.ni, self.sub.nj),
             "field must match the subdomain"
         );
+        let scratch = &mut *self.scratch.borrow_mut();
+        scratch.prepare(&self.grid, t);
         for j in 0..nj {
             for i in 0..ni {
-                let mut col = theta.column(i, j);
-                total += run_column(
-                    &self.cfg,
-                    &self.grid,
-                    self.sub.i0 + i,
-                    self.sub.j0 + j,
-                    t,
-                    &mut col,
-                );
-                theta.set_column(i, j, &col);
+                total += scratch.run_in_place(&self.cfg, &self.sub, theta, i, j);
             }
         }
         comm.record_flops(total);
@@ -149,10 +185,12 @@ impl PhysicsStep {
 
     /// Predicted total load (flops) of this subdomain at time `t`.
     pub fn predicted_load(&self, t: f64) -> f64 {
+        let forcing = &mut self.scratch.borrow_mut().forcing;
+        forcing.rebuild(&self.grid, t);
         let mut total = 0.0;
         for j in self.sub.lats() {
             for i in self.sub.lons() {
-                total += column_cost(&self.cfg, &self.grid, i, j, t).flops;
+                total += column_cost(&self.cfg, forcing, i, j).flops;
             }
         }
         total
@@ -173,10 +211,12 @@ mod tests {
     fn prediction_matches_execution() {
         let g = grid();
         let cfg = PhysicsConfig::for_grid(&g);
+        let forcing = ColumnForcing::new(&g, 7200.0);
         for (i, j) in [(0, 0), (17, 11), (35, 23), (9, 12)] {
-            let predicted = column_cost(&cfg, &g, i, j, 7200.0).flops;
+            let predicted = column_cost(&cfg, &forcing, i, j).flops;
             let mut col = vec![0.5; g.n_lev];
-            let actual = run_column(&cfg, &g, i, j, 7200.0, &mut col);
+            let mut net = vec![0.0; g.n_lev];
+            let actual = run_column(&cfg, &forcing, i, j, &mut col, &mut net);
             assert_eq!(predicted, actual, "column ({i},{j})");
         }
     }
@@ -188,8 +228,9 @@ mod tests {
         // Scan a latitude circle at high latitude (no convection noise
         // there — instability is negligible poleward) and compare day/night.
         let j = 22; // near-polar row
+        let forcing = ColumnForcing::new(&g, 0.0);
         let costs: Vec<ColumnCost> = (0..g.n_lon)
-            .map(|i| column_cost(&cfg, &g, i, j, 0.0))
+            .map(|i| column_cost(&cfg, &forcing, i, j))
             .collect();
         let day_avg: f64 = {
             let d: Vec<f64> = costs.iter().filter(|c| c.day).map(|c| c.flops).collect();
@@ -206,9 +247,10 @@ mod tests {
     fn tropics_cost_more_than_midlatitudes() {
         let g = grid();
         let cfg = PhysicsConfig::for_grid(&g);
+        let forcing = ColumnForcing::new(&g, 3600.0);
         let row_cost = |j: usize| -> f64 {
             (0..g.n_lon)
-                .map(|i| column_cost(&cfg, &g, i, j, 3600.0).flops)
+                .map(|i| column_cost(&cfg, &forcing, i, j).flops)
                 .sum()
         };
         let equator = row_cost(12);
@@ -254,10 +296,11 @@ mod tests {
         let d = Decomp::new(g, 2, 3);
         let sub = d.subdomain_of_rank(4);
         let step = PhysicsStep::new(g, sub);
+        let forcing = ColumnForcing::new(&g, 500.0);
         let by_hand: f64 = sub
             .lats()
             .flat_map(|j| sub.lons().map(move |i| (i, j)))
-            .map(|(i, j)| column_cost(step.config(), &g, i, j, 500.0).flops)
+            .map(|(i, j)| column_cost(step.config(), &forcing, i, j).flops)
             .sum();
         assert_eq!(step.predicted_load(500.0), by_hand);
     }

@@ -15,7 +15,7 @@
 //!   transpose FFT, load-balanced FFT);
 //! * [`physics`] — column physics emulation and load-balancing schemes 1-3;
 //! * [`dynamics`] — the finite-difference dynamical core;
-//! * [`agcm`] — the assembled model, timers and report formatting;
+//! * [`agcm`] — the assembled model and report formatting;
 //! * [`resilience`] — checkpoint/restart and fault recovery (paired with
 //!   the deterministic fault-injection plane in [`mps::fault`]);
 //! * [`ensemble`] — batch serving of many model runs on a bounded
