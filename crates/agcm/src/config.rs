@@ -186,33 +186,29 @@ impl AgcmConfig {
     /// resubmission resume from a shorter run's committed prefix in the
     /// fleet checkpoint store.
     pub fn lineage(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        eat(self.grid.n_lon as u64);
-        eat(self.grid.n_lat as u64);
-        eat(self.grid.n_lev as u64);
-        eat(self.mesh_lat as u64);
-        eat(self.mesh_lon as u64);
-        eat(self.dt.to_bits());
-        eat(match self.filter {
-            FilterVariant::ConvolutionRing => 0,
-            FilterVariant::ConvolutionTree => 1,
-            FilterVariant::FftNoLb => 2,
-            FilterVariant::LbFft => 3,
-        });
-        eat(match self.filter_organization {
-            FilterOrganization::Aggregated => 0,
-            FilterOrganization::PerVariable => 1,
-        });
-        eat(self.balance_physics as u64);
-        eat(self.balance_target.to_bits());
-        eat(self.balance_rounds as u64);
-        h
+        let fields: [u64; 11] = [
+            self.grid.n_lon as u64,
+            self.grid.n_lat as u64,
+            self.grid.n_lev as u64,
+            self.mesh_lat as u64,
+            self.mesh_lon as u64,
+            self.dt.to_bits(),
+            match self.filter {
+                FilterVariant::ConvolutionRing => 0,
+                FilterVariant::ConvolutionTree => 1,
+                FilterVariant::FftNoLb => 2,
+                FilterVariant::LbFft => 3,
+            },
+            match self.filter_organization {
+                FilterOrganization::Aggregated => 0,
+                FilterOrganization::PerVariable => 1,
+            },
+            self.balance_physics as u64,
+            self.balance_target.to_bits(),
+            self.balance_rounds as u64,
+        ];
+        let bytes: Vec<u8> = fields.iter().flat_map(|v| v.to_le_bytes()).collect();
+        agcm_resilience::fnv1a(&bytes)
     }
 
     /// Number of timesteps in one simulated day (for converting measured
@@ -324,6 +320,14 @@ mod tests {
             jitter.lineage(),
             "dt compared by exact bits"
         );
+    }
+
+    #[test]
+    fn lineage_value_is_pinned() {
+        // Fleet stores on disk key their prefix index on this value, so
+        // it must not change for an unchanged config.
+        let cfg = AgcmConfig::paper(2, 2, FilterVariant::LbFft).with_physics_balancing();
+        assert_eq!(cfg.lineage(), 0xea9c_8181_310c_fdcf);
     }
 
     #[test]

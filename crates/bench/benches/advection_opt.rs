@@ -1,10 +1,9 @@
 //! The advection routine: original loops vs the paper's restructuring
 //! (§3.4: ~35% reduction on one T3D node).
 
+use agcm_bench::harness::bench;
 use agcm_dynamics::advection::{advect_naive, advect_restructured, AdvShape};
 use agcm_grid::latlon::GridSpec;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
 
 fn inputs(shape: AdvShape) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     let n = shape.ni * shape.nj * shape.nk;
@@ -15,39 +14,17 @@ fn inputs(shape: AdvShape) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
     )
 }
 
-fn bench_advection(c: &mut Criterion) {
+fn main() {
     // The paper's grid and a larger one (cache pressure ablation).
-    for (label, shape) in [
-        (
-            "paper_144x90x9",
-            AdvShape {
-                ni: 144,
-                nj: 90,
-                nk: 9,
-            },
-        ),
-        (
-            "large_288x180x9",
-            AdvShape {
-                ni: 288,
-                nj: 180,
-                nk: 9,
-            },
-        ),
-    ] {
+    for (label, ni, nj) in [("paper_144x90x9", 144, 90), ("large_288x180x9", 288, 180)] {
+        let shape = AdvShape { ni, nj, nk: 9 };
         let grid = GridSpec::new(shape.ni, shape.nj, shape.nk);
         let (q, u, v) = inputs(shape);
-        let mut g = c.benchmark_group(format!("advection_{label}"));
-        g.sample_size(10).measurement_time(Duration::from_secs(1));
-        g.bench_with_input(BenchmarkId::new("original", label), &(), |b, _| {
-            b.iter(|| std::hint::black_box(advect_naive(&q, &u, &v, shape, &grid, 0)))
+        bench(&format!("advection_{label}/original"), || {
+            advect_naive(&q, &u, &v, shape, &grid, 0)
         });
-        g.bench_with_input(BenchmarkId::new("restructured", label), &(), |b, _| {
-            b.iter(|| std::hint::black_box(advect_restructured(&q, &u, &v, shape, &grid, 0)))
+        bench(&format!("advection_{label}/restructured"), || {
+            advect_restructured(&q, &u, &v, shape, &grid, 0)
         });
-        g.finish();
     }
 }
-
-criterion_group!(benches, bench_advection);
-criterion_main!(benches);

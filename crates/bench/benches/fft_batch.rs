@@ -14,11 +14,10 @@
 //!
 //! Acceptance: `batched_real` beats `per_line_complex` by ≥2× at n=144.
 
+use agcm_bench::harness::bench;
 use agcm_fft::batch::{filter_line, filter_lines_flat};
 use agcm_fft::convolution::apply_spectral_multiplier;
 use agcm_fft::plan::FftPlan;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
 
 /// Lines per batch: one strongly-filtered polar latitude moves 4 variables
 /// × 9 levels in the paper's 9-layer configuration.
@@ -40,43 +39,33 @@ fn multiplier(n: usize) -> Vec<f64> {
         .collect()
 }
 
-fn bench_filter_paths(c: &mut Criterion) {
+fn main() {
     for n in [144usize, 90] {
-        let mut g = c.benchmark_group(format!("filter_batch_n{n}"));
-        g.sample_size(20)
-            .measurement_time(Duration::from_millis(800));
         let plan = FftPlan::new(n);
         let mult = multiplier(n);
         let base = lines(n);
+        let group = format!("filter_batch_n{n}");
 
-        g.bench_function(BenchmarkId::new("per_line_complex", BATCH), |b| {
-            let mut buf = base.clone();
-            b.iter(|| {
-                for line in buf.chunks_mut(n) {
-                    let out = apply_spectral_multiplier(&plan, line, &mult);
-                    line.copy_from_slice(&out);
-                }
-            })
+        let mut buf = base.clone();
+        bench(&format!("{group}/per_line_complex/{BATCH}"), || {
+            for line in buf.chunks_mut(n) {
+                let out = apply_spectral_multiplier(&plan, line, &mult);
+                line.copy_from_slice(&out);
+            }
         });
 
-        g.bench_function(BenchmarkId::new("per_line_real", BATCH), |b| {
-            let mut buf = base.clone();
-            let mut ws = plan.workspace();
-            b.iter(|| {
-                for line in buf.chunks_mut(n) {
-                    filter_line(&plan, line, &mult, &mut ws);
-                }
-            })
+        let mut buf = base.clone();
+        let mut ws = plan.workspace();
+        bench(&format!("{group}/per_line_real/{BATCH}"), || {
+            for line in buf.chunks_mut(n) {
+                filter_line(&plan, line, &mult, &mut ws);
+            }
         });
 
-        g.bench_function(BenchmarkId::new("batched_real", BATCH), |b| {
-            let mut buf = base.clone();
-            let mut ws = plan.workspace();
-            b.iter(|| filter_lines_flat(&plan, &mut buf, &mult, &mut ws))
+        let mut buf = base.clone();
+        let mut ws = plan.workspace();
+        bench(&format!("{group}/batched_real/{BATCH}"), || {
+            filter_lines_flat(&plan, &mut buf, &mult, &mut ws)
         });
-        g.finish();
     }
 }
-
-criterion_group!(benches, bench_filter_paths);
-criterion_main!(benches);

@@ -1,12 +1,12 @@
 //! FFT vs DFT vs direct convolution — the arithmetic core of the paper's
 //! filter comparison (§3.1: O(N²) convolution vs O(N logN) FFT).
 
+use agcm_bench::harness::bench;
 use agcm_fft::complex::Complex64;
 use agcm_fft::convolution::{circular_convolve_direct, circular_convolve_fft};
 use agcm_fft::dft::dft;
 use agcm_fft::plan::FftPlan;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use std::hint::black_box;
 
 fn signal(n: usize) -> Vec<Complex64> {
     (0..n)
@@ -14,52 +14,31 @@ fn signal(n: usize) -> Vec<Complex64> {
         .collect()
 }
 
-fn bench_transforms(c: &mut Criterion) {
-    let mut g = c.benchmark_group("transform_n144");
-    g.sample_size(20)
-        .measurement_time(Duration::from_millis(800));
+fn main() {
     let x = signal(144);
     let plan = FftPlan::new(144);
-    g.bench_function("fft_mixed_radix", |b| {
-        b.iter(|| std::hint::black_box(plan.forward(std::hint::black_box(&x))))
+    bench("transform_n144/fft_mixed_radix", || {
+        plan.forward(black_box(&x))
     });
-    g.bench_function("dft_direct", |b| {
-        b.iter(|| std::hint::black_box(dft(std::hint::black_box(&x))))
-    });
-    g.finish();
+    bench("transform_n144/dft_direct", || dft(black_box(&x)));
 
-    let mut g = c.benchmark_group("fft_scaling");
-    g.sample_size(20)
-        .measurement_time(Duration::from_millis(500));
     for n in [36usize, 72, 144, 288] {
         let x = signal(n);
         let plan = FftPlan::new(n);
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(plan.forward(std::hint::black_box(&x))))
-        });
+        bench(&format!("fft_scaling/{n}"), || plan.forward(black_box(&x)));
     }
-    g.finish();
-}
 
-fn bench_filter_line(c: &mut Criterion) {
     // One filtered latitude line: the paper's Eq. (2) vs Eq. (1) evaluation.
-    let mut g = c.benchmark_group("one_line_n144");
-    g.sample_size(20)
-        .measurement_time(Duration::from_millis(800));
     let n = 144;
     let plan = FftPlan::new(n);
     let x: Vec<f64> = (0..n).map(|j| (j as f64 * 0.21).sin()).collect();
     let kernel: Vec<f64> = (0..n)
         .map(|j| ((j * j) as f64 * 0.01).cos() / n as f64)
         .collect();
-    g.bench_function("convolution_direct", |b| {
-        b.iter(|| std::hint::black_box(circular_convolve_direct(&x, &kernel)))
+    bench("one_line_n144/convolution_direct", || {
+        circular_convolve_direct(&x, &kernel)
     });
-    g.bench_function("convolution_via_fft", |b| {
-        b.iter(|| std::hint::black_box(circular_convolve_fft(&plan, &x, &kernel)))
+    bench("one_line_n144/convolution_via_fft", || {
+        circular_convolve_fft(&plan, &x, &kernel)
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_transforms, bench_filter_line);
-criterion_main!(benches);

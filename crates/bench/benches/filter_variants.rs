@@ -2,6 +2,7 @@
 //! miniature): real parallel runs on a small mesh, plus the ablation the
 //! DESIGN.md calls out (concurrent vs per-variable movement).
 
+use agcm_bench::harness::bench;
 use agcm_filtering::driver::{FilterVariant, PolarFilter};
 use agcm_filtering::lines::FilterSetup;
 use agcm_filtering::reference::{local_from_global, synthetic_field};
@@ -10,8 +11,6 @@ use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
 use agcm_mps::runtime::run;
 use agcm_mps::topology::CartComm;
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
 
 fn apply_variant(grid: GridSpec, mesh: (usize, usize), variant: FilterVariant) {
     let decomp = Decomp::new(grid, mesh.0, mesh.1);
@@ -26,35 +25,24 @@ fn apply_variant(grid: GridSpec, mesh: (usize, usize), variant: FilterVariant) {
     });
 }
 
-fn bench_variants(c: &mut Criterion) {
+fn main() {
     let grid = GridSpec::new(72, 46, 3);
-    let mesh = (2usize, 2usize);
-    let mut g = c.benchmark_group("filter_variants_72x46x3_2x2");
-    g.sample_size(10).measurement_time(Duration::from_secs(2));
     for variant in FilterVariant::ALL {
-        g.bench_function(variant.label(), |b| {
-            b.iter(|| apply_variant(grid, mesh, variant))
-        });
+        bench(
+            &format!("filter_variants_72x46x3_2x2/{}", variant.label()),
+            || apply_variant(grid, (2, 2), variant),
+        );
     }
-    g.finish();
-}
 
-fn bench_setup_cost(c: &mut Criterion) {
     // The paper's point about the set-up: "done only once" and "nearly
     // independent of AGCM problem size".
-    let mut g = c.benchmark_group("filter_setup");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
     for (label, grid) in [
         ("9_layer", GridSpec::paper_9_layer()),
         ("15_layer", GridSpec::paper_15_layer()),
     ] {
         let decomp = Decomp::new(grid, 4, 8);
-        g.bench_function(label, |b| {
-            b.iter(|| std::hint::black_box(FilterSetup::new(grid, decomp)))
+        bench(&format!("filter_setup/{label}"), || {
+            FilterSetup::new(grid, decomp)
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_variants, bench_setup_cost);
-criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Physics load-balancing schemes: planning cost and end-to-end balanced
 //! execution (Tables 1–3 / Figures 4–6 ablations).
 
+use agcm_bench::harness::bench;
 use agcm_grid::decomp::Decomp;
 use agcm_grid::field::Field3D;
 use agcm_grid::latlon::GridSpec;
@@ -11,35 +12,27 @@ use agcm_physics::balance::scheme2::SortedGreedy;
 use agcm_physics::balance::scheme3::PairwiseExchange;
 use agcm_physics::balance::BalanceScheme;
 use agcm_physics::step::PhysicsStep;
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
 
 fn synthetic_loads(p: usize) -> Vec<f64> {
     (0..p).map(|i| 100.0 + ((i * 7919) % 101) as f64).collect()
 }
 
-fn bench_planning(c: &mut Criterion) {
+fn main() {
     // Scheme 1 plans O(P²) transfers, schemes 2-3 O(P): visible directly
     // in planning time at P = 240.
-    let mut g = c.benchmark_group("plan_cost");
-    g.sample_size(20)
-        .measurement_time(Duration::from_millis(500));
     for p in [64usize, 240] {
         let loads = synthetic_loads(p);
-        g.bench_with_input(BenchmarkId::new("scheme1_cyclic", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(CyclicShuffle.plan(&loads)))
+        bench(&format!("plan_cost/scheme1_cyclic/{p}"), || {
+            CyclicShuffle.plan(&loads)
         });
-        g.bench_with_input(BenchmarkId::new("scheme2_greedy", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(SortedGreedy::default().plan(&loads)))
+        bench(&format!("plan_cost/scheme2_greedy/{p}"), || {
+            SortedGreedy::default().plan(&loads)
         });
-        g.bench_with_input(BenchmarkId::new("scheme3_pairwise", p), &p, |b, _| {
-            b.iter(|| std::hint::black_box(PairwiseExchange::default().plan(&loads)))
+        bench(&format!("plan_cost/scheme3_pairwise/{p}"), || {
+            PairwiseExchange::default().plan(&loads)
         });
     }
-    g.finish();
-}
 
-fn bench_balanced_execution(c: &mut Criterion) {
     let grid = GridSpec::new(48, 24, 9);
     let decomp = Decomp::new(grid, 2, 2);
     let t = 21_600.0;
@@ -47,28 +40,19 @@ fn bench_balanced_execution(c: &mut Criterion) {
         .map(|r| PhysicsStep::new(grid, decomp.subdomain_of_rank(r)).predicted_load(t))
         .collect();
     let plan = PairwiseExchange::default().plan(&loads);
-    let mut g = c.benchmark_group("physics_pass_48x24x9_2x2");
-    g.sample_size(10).measurement_time(Duration::from_secs(2));
-    g.bench_function("unbalanced", |b| {
-        b.iter(|| {
-            run(decomp.size(), |comm| {
-                let sub = decomp.subdomain_of_rank(comm.rank());
-                let mut theta = Field3D::zeros(sub.ni, sub.nj, grid.n_lev);
-                PhysicsStep::new(grid, sub).run_local(comm, &mut theta, t)
-            })
+    let group = "physics_pass_48x24x9_2x2";
+    bench(&format!("{group}/unbalanced"), || {
+        run(decomp.size(), |comm| {
+            let sub = decomp.subdomain_of_rank(comm.rank());
+            let mut theta = Field3D::zeros(sub.ni, sub.nj, grid.n_lev);
+            PhysicsStep::new(grid, sub).run_local(comm, &mut theta, t)
         })
     });
-    g.bench_function("scheme3_balanced", |b| {
-        b.iter(|| {
-            run(decomp.size(), |comm| {
-                let sub = decomp.subdomain_of_rank(comm.rank());
-                let mut theta = Field3D::zeros(sub.ni, sub.nj, grid.n_lev);
-                run_balanced(comm, &grid, &sub, &mut theta, t, &plan).performed
-            })
+    bench(&format!("{group}/scheme3_balanced"), || {
+        run(decomp.size(), |comm| {
+            let sub = decomp.subdomain_of_rank(comm.rank());
+            let mut theta = Field3D::zeros(sub.ni, sub.nj, grid.n_lev);
+            run_balanced(comm, &grid, &sub, &mut theta, t, &plan).performed
         })
     });
-    g.finish();
 }
-
-criterion_group!(benches, bench_planning, bench_balanced_execution);
-criterion_main!(benches);

@@ -1,56 +1,39 @@
 //! The pointwise vector-multiply primitive (§3.4, Eq. 4) and the
 //! mini-BLAS kernels: naive vs unrolled vs iterator-fused.
 
+use agcm_bench::harness::bench;
 use agcm_singlenode::blas::{daxpy, daxpy_unrolled, ddot, ddot_unrolled};
 use agcm_singlenode::pointwise::{
     cyclic_multiply, pv_multiply_fused, pv_multiply_naive, pv_multiply_unrolled,
 };
-use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Duration;
+use std::hint::black_box;
 
-fn bench_pointwise(c: &mut Criterion) {
+fn main() {
     let (m, n) = (512usize, 512usize);
     let a: Vec<f64> = (0..m * n).map(|i| (i as f64 * 0.003).cos()).collect();
-    let b_vec: Vec<f64> = (0..m).map(|i| 1.0 + (i as f64 * 0.01).sin()).collect();
-    let mut g = c.benchmark_group("pointwise_multiply_512x512");
-    g.sample_size(15)
-        .measurement_time(Duration::from_millis(800));
-    g.bench_function("naive", |b| {
-        b.iter(|| std::hint::black_box(pv_multiply_naive(&a, &b_vec, m, n)))
+    let b: Vec<f64> = (0..m).map(|i| 1.0 + (i as f64 * 0.01).sin()).collect();
+    let group = "pointwise_multiply_512x512";
+    bench(&format!("{group}/naive"), || {
+        pv_multiply_naive(&a, &b, m, n)
     });
-    g.bench_function("unrolled", |b| {
-        b.iter(|| std::hint::black_box(pv_multiply_unrolled(&a, &b_vec, m, n)))
+    bench(&format!("{group}/unrolled"), || {
+        pv_multiply_unrolled(&a, &b, m, n)
     });
-    g.bench_function("iterator_fused", |b| {
-        b.iter(|| std::hint::black_box(pv_multiply_fused(&a, &b_vec, m, n)))
+    bench(&format!("{group}/iterator_fused"), || {
+        pv_multiply_fused(&a, &b, m, n)
     });
-    g.bench_function("cyclic_eq4", |b| {
-        b.iter(|| std::hint::black_box(cyclic_multiply(&a, &b_vec)))
-    });
-    g.finish();
-}
+    bench(&format!("{group}/cyclic_eq4"), || cyclic_multiply(&a, &b));
 
-fn bench_blas(c: &mut Criterion) {
     let n = 1 << 18;
     let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.001).sin()).collect();
     let mut y = vec![0.0; n];
-    let mut g = c.benchmark_group("mini_blas_262144");
-    g.sample_size(15)
-        .measurement_time(Duration::from_millis(800));
-    g.bench_function("daxpy_loop", |b| {
-        b.iter(|| daxpy(1.5, &x, std::hint::black_box(&mut y)))
+    let group = "mini_blas_262144";
+    bench(&format!("{group}/daxpy_loop"), || {
+        daxpy(1.5, &x, black_box(&mut y))
     });
-    g.bench_function("daxpy_unrolled", |b| {
-        b.iter(|| daxpy_unrolled(1.5, &x, std::hint::black_box(&mut y)))
+    bench(&format!("{group}/daxpy_unrolled"), || {
+        daxpy_unrolled(1.5, &x, black_box(&mut y))
     });
-    g.bench_function("ddot_loop", |b| {
-        b.iter(|| std::hint::black_box(ddot(&x, &x)))
-    });
-    g.bench_function("ddot_unrolled", |b| {
-        b.iter(|| std::hint::black_box(ddot_unrolled(&x, &x)))
-    });
-    g.finish();
+    bench(&format!("{group}/ddot_loop"), || ddot(&x, &x));
+    bench(&format!("{group}/ddot_unrolled"), || ddot_unrolled(&x, &x));
 }
-
-criterion_group!(benches, bench_pointwise, bench_blas);
-criterion_main!(benches);

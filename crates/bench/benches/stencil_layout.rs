@@ -1,10 +1,10 @@
 //! Separate vs block array layouts on the 7-point Laplace stencil —
 //! the paper's §3.4 cache experiment (5× on Paragon, 2.6× on T3D at 32³).
 
+use agcm_bench::harness::bench;
 use agcm_grid::field::{BlockField, Field3D};
 use agcm_singlenode::blockarray::{laplace_block, laplace_separate};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use std::time::Duration;
+use std::hint::black_box;
 
 fn fields(m: usize, n: usize) -> Vec<Field3D> {
     (0..m)
@@ -16,39 +16,30 @@ fn fields(m: usize, n: usize) -> Vec<Field3D> {
         .collect()
 }
 
-fn bench_layouts(c: &mut Criterion) {
+fn main() {
     for n in [16usize, 32, 48] {
-        let mut g = c.benchmark_group(format!("laplace_12_fields_{n}cubed"));
-        g.sample_size(10).measurement_time(Duration::from_secs(1));
         let f = fields(12, n);
         let blk = BlockField::from_fields(&f);
-        g.bench_with_input(BenchmarkId::new("separate_arrays", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(laplace_separate(std::hint::black_box(&f))))
+        let group = format!("laplace_12_fields_{n}cubed");
+        bench(&format!("{group}/separate_arrays/{n}"), || {
+            laplace_separate(black_box(&f))
         });
-        g.bench_with_input(BenchmarkId::new("block_array", n), &n, |b, _| {
-            b.iter(|| std::hint::black_box(laplace_block(std::hint::black_box(&blk))))
+        bench(&format!("{group}/block_array/{n}"), || {
+            laplace_block(black_box(&blk))
         });
-        g.finish();
     }
-}
 
-fn bench_field_count_ablation(c: &mut Criterion) {
     // The paper's observed conflict: the block layout helps only loops
     // touching *all* variables. Vary the field count at fixed size.
-    let mut g = c.benchmark_group("laplace_32cubed_by_field_count");
-    g.sample_size(10).measurement_time(Duration::from_secs(1));
     for m in [2usize, 6, 12] {
         let f = fields(m, 32);
         let blk = BlockField::from_fields(&f);
-        g.bench_with_input(BenchmarkId::new("separate", m), &m, |b, _| {
-            b.iter(|| std::hint::black_box(laplace_separate(std::hint::black_box(&f))))
+        let group = "laplace_32cubed_by_field_count";
+        bench(&format!("{group}/separate/{m}"), || {
+            laplace_separate(black_box(&f))
         });
-        g.bench_with_input(BenchmarkId::new("block", m), &m, |b, _| {
-            b.iter(|| std::hint::black_box(laplace_block(std::hint::black_box(&blk))))
+        bench(&format!("{group}/block/{m}"), || {
+            laplace_block(black_box(&blk))
         });
     }
-    g.finish();
 }
-
-criterion_group!(benches, bench_layouts, bench_field_count_ablation);
-criterion_main!(benches);

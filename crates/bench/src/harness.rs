@@ -185,6 +185,36 @@ pub fn time_median(reps: usize, mut f: impl FnMut()) -> f64 {
     samples[reps / 2]
 }
 
+/// True under `cargo bench -- --test`: every bench body runs once,
+/// untimed, as a smoke check that the benches still build and run.
+pub fn smoke() -> bool {
+    std::env::args().any(|a| a == "--test")
+}
+
+/// One `cargo bench` entry: time `body` with [`time_median`] and print
+/// `name: median N ns/iter`. Calls are batched so each of the 15 samples
+/// lasts about a millisecond; in [`smoke`] mode `body` runs once.
+pub fn bench<O>(name: &str, mut body: impl FnMut() -> O) {
+    if smoke() {
+        std::hint::black_box(body());
+        println!("{name}: ok (smoke, 1 iteration)");
+        return;
+    }
+    let once = time_median(1, || {
+        std::hint::black_box(body());
+    });
+    let iters = (1e-3 / once.max(50e-9)).clamp(1.0, 10_000.0) as usize;
+    let per_batch = time_median(15, || {
+        for _ in 0..iters {
+            std::hint::black_box(body());
+        }
+    });
+    println!(
+        "{name}: median {:.0} ns/iter",
+        per_batch * 1e9 / iters as f64
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,5 +271,12 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(2))
         });
         assert!(t >= 0.001);
+    }
+
+    #[test]
+    fn bench_runs_its_body() {
+        let mut calls = 0u32;
+        bench("harness/count", || calls += 1);
+        assert!(calls >= 1);
     }
 }

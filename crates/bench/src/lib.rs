@@ -15,8 +15,8 @@
 //!   binary installs for allocation-freedom checks;
 //! * the `reproduce` binary — prints each table with paper-reported and
 //!   model-measured columns side by side;
-//! * `benches/` — Criterion microbenchmarks for the single-node study and
-//!   the kernel-level comparisons.
+//! * `benches/` — microbenchmarks for the single-node study and the
+//!   kernel-level comparisons, timed by [`harness::bench`].
 
 pub mod alloccount;
 pub mod analyze;

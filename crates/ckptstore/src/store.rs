@@ -41,6 +41,7 @@
 
 use agcm_resilience::checkpoint::CheckpointError;
 use agcm_resilience::coordinator::StoreError;
+use agcm_resilience::fnv1a;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fs;
 use std::io::Write as _;
@@ -50,16 +51,6 @@ use std::sync::Mutex;
 /// Default chunk size: large enough that a smoke-grid shard is a few
 /// chunks, small enough that shards sharing a prefix share chunks.
 pub const DEFAULT_CHUNK_SIZE: usize = 64 * 1024;
-
-/// FNV-1a over a byte slice (the repo's standing checksum).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn io_err(ctx: &str, path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{ctx} {}: {e}", path.display()))

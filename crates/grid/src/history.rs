@@ -13,7 +13,6 @@
 //! ni·nj·nk f64 values`.
 
 use crate::field::Field3D;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"AGCM";
@@ -32,7 +31,8 @@ pub enum HistoryError {
     BadEndianMarker(u32),
     /// Payload length disagrees with the header dimensions.
     LengthMismatch {
-        /// Bytes promised by the header.
+        /// Bytes promised by the header (`usize::MAX` when that
+        /// product overflows).
         expected: usize,
         /// Bytes present.
         found: usize,
@@ -67,77 +67,76 @@ pub enum ByteOrder {
 }
 
 /// Encode a field as a history record in the requested byte order.
-pub fn encode(field: &Field3D, order: ByteOrder) -> Bytes {
+pub fn encode(field: &Field3D, order: ByteOrder) -> Vec<u8> {
     let (ni, nj, nk) = field.shape();
-    let mut buf = BytesMut::with_capacity(4 + 4 * 4 + field.len() * 8);
-    buf.put_slice(MAGIC);
-    match order {
-        ByteOrder::Little => {
-            buf.put_u32_le(ENDIAN_MARKER);
-            buf.put_u32_le(ni as u32);
-            buf.put_u32_le(nj as u32);
-            buf.put_u32_le(nk as u32);
-            for &v in field.as_slice() {
-                buf.put_f64_le(v);
-            }
-        }
-        ByteOrder::Big => {
-            buf.put_u32(ENDIAN_MARKER);
-            buf.put_u32(ni as u32);
-            buf.put_u32(nj as u32);
-            buf.put_u32(nk as u32);
-            for &v in field.as_slice() {
-                buf.put_f64(v);
-            }
-        }
+    let mut buf = Vec::with_capacity(4 + 4 * 4 + field.len() * 8);
+    buf.extend_from_slice(MAGIC);
+    for v in [ENDIAN_MARKER, ni as u32, nj as u32, nk as u32] {
+        buf.extend_from_slice(&match order {
+            ByteOrder::Little => v.to_le_bytes(),
+            ByteOrder::Big => v.to_be_bytes(),
+        });
     }
-    buf.freeze()
+    for &v in field.as_slice() {
+        buf.extend_from_slice(&match order {
+            ByteOrder::Little => v.to_le_bytes(),
+            ByteOrder::Big => v.to_be_bytes(),
+        });
+    }
+    buf
 }
 
 /// Decode a history record, byte-swapping if it was written on a machine
 /// of the opposite endianness — the paper's "byte-order reversal routine".
 pub fn decode(record: &[u8]) -> Result<(Field3D, ByteOrder), HistoryError> {
-    let mut buf = record;
-    if buf.len() < 4 + 4 * 4 {
+    const HEADER: usize = 4 + 4 * 4;
+    if record.len() < HEADER {
         return Err(HistoryError::Truncated);
     }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(HistoryError::BadMagic(magic));
+    let (header, payload) = record.split_at(HEADER);
+    let words = header.as_chunks::<4>().0;
+    if &words[0] != MAGIC {
+        return Err(HistoryError::BadMagic(words[0]));
     }
     // Read the marker little-endian and decide.
-    let marker = buf.get_u32_le();
-    let order = match marker {
+    let order = match u32::from_le_bytes(words[1]) {
         ENDIAN_MARKER => ByteOrder::Little,
         ENDIAN_MARKER_SWAPPED => ByteOrder::Big,
         other => return Err(HistoryError::BadEndianMarker(other)),
     };
-    let read_u32 = |buf: &mut &[u8]| -> u32 {
-        match order {
-            ByteOrder::Little => buf.get_u32_le(),
-            ByteOrder::Big => buf.get_u32(),
-        }
+    let dim = |i: usize| -> usize {
+        let v = match order {
+            ByteOrder::Little => u32::from_le_bytes(words[i]),
+            ByteOrder::Big => u32::from_be_bytes(words[i]),
+        };
+        v as usize
     };
-    let ni = read_u32(&mut buf) as usize;
-    let nj = read_u32(&mut buf) as usize;
-    let nk = read_u32(&mut buf) as usize;
-    let expected = ni * nj * nk * 8;
-    if buf.len() != expected {
+    let (ni, nj, nk) = (dim(2), dim(3), dim(4));
+    // Header dims are untrusted: a product that overflows cannot match
+    // any payload that fits in memory.
+    let expected = ni
+        .checked_mul(nj)
+        .and_then(|n| n.checked_mul(nk))
+        .and_then(|n| n.checked_mul(8));
+    if expected != Some(payload.len()) {
         return Err(HistoryError::LengthMismatch {
-            expected,
-            found: buf.len(),
+            expected: expected.unwrap_or(usize::MAX),
+            found: payload.len(),
         });
     }
-    let mut field = Field3D::zeros(ni.max(1), nj.max(1), nk.max(1));
-    if ni * nj * nk > 0 {
-        field = Field3D::zeros(ni, nj, nk);
-        for v in field.as_mut_slice() {
-            *v = match order {
-                ByteOrder::Little => buf.get_f64_le(),
-                ByteOrder::Big => buf.get_f64(),
-            };
-        }
+    if payload.is_empty() {
+        return Ok((Field3D::zeros(ni.max(1), nj.max(1), nk.max(1)), order));
+    }
+    let mut field = Field3D::zeros(ni, nj, nk);
+    for (v, &bytes) in field
+        .as_mut_slice()
+        .iter_mut()
+        .zip(payload.as_chunks::<8>().0)
+    {
+        *v = match order {
+            ByteOrder::Little => f64::from_le_bytes(bytes),
+            ByteOrder::Big => f64::from_be_bytes(bytes),
+        };
     }
     Ok((field, order))
 }
@@ -189,7 +188,7 @@ mod tests {
     #[test]
     fn bad_magic_detected() {
         let f = sample_field();
-        let mut rec = encode(&f, ByteOrder::Little).to_vec();
+        let mut rec = encode(&f, ByteOrder::Little);
         rec[0] = b'X';
         assert!(matches!(decode(&rec), Err(HistoryError::BadMagic(_))));
     }
@@ -208,9 +207,26 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_dims_are_an_error_not_a_panic() {
+        // A bare header whose dims (2^21 each) overflow ni·nj·nk·8.
+        let mut rec = MAGIC.to_vec();
+        for v in [ENDIAN_MARKER, 1 << 21, 1 << 21, 1 << 21] {
+            rec.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(rec.len(), 20);
+        assert_eq!(
+            decode(&rec),
+            Err(HistoryError::LengthMismatch {
+                expected: usize::MAX,
+                found: 0
+            })
+        );
+    }
+
+    #[test]
     fn corrupt_marker_detected() {
         let f = sample_field();
-        let mut rec = encode(&f, ByteOrder::Little).to_vec();
+        let mut rec = encode(&f, ByteOrder::Little);
         rec[4] = 0xFF;
         assert!(matches!(
             decode(&rec),

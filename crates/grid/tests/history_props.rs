@@ -69,8 +69,8 @@ fn byte_swapping_a_record_yields_the_opposite_order_record() {
     for case in 0..CASES {
         let mut rng = Rng::new(1000 + case);
         let f = rng.field();
-        let little = encode(&f, ByteOrder::Little).to_vec();
-        let big = encode(&f, ByteOrder::Big).to_vec();
+        let little = encode(&f, ByteOrder::Little);
+        let big = encode(&f, ByteOrder::Big);
         let mut swapped = little.clone();
         byte_reverse_elements(&mut swapped[4..HEADER], 4);
         byte_reverse_elements(&mut swapped[HEADER..], 8);
@@ -87,7 +87,7 @@ fn bad_magic_reports_the_bytes_found() {
     for case in 0..CASES {
         let mut rng = Rng::new(2000 + case);
         let f = rng.field();
-        let mut rec = encode(&f, ByteOrder::Little).to_vec();
+        let mut rec = encode(&f, ByteOrder::Little);
         let pos = rng.range(0, 4);
         let orig = rec[pos];
         rec[pos] = orig.wrapping_add(rng.range(1, 255) as u8);
@@ -106,7 +106,7 @@ fn corrupt_endian_marker_is_rejected() {
     for case in 0..CASES {
         let mut rng = Rng::new(3000 + case);
         let f = rng.field();
-        let mut rec = encode(&f, ByteOrder::Big).to_vec();
+        let mut rec = encode(&f, ByteOrder::Big);
         // Flip one random bit of the marker; no single-bit flip can turn
         // one valid marker into the other.
         let pos = 4 + rng.range(0, 4);
@@ -158,7 +158,7 @@ fn wrong_header_dims_are_length_mismatch() {
         let mut rng = Rng::new(6000 + case);
         let f = rng.field();
         let (ni, nj, nk) = f.shape();
-        let mut rec = encode(&f, ByteOrder::Little).to_vec();
+        let mut rec = encode(&f, ByteOrder::Little);
         // Overwrite one dimension with a different value (little-endian,
         // matching the record's order).
         let dim = rng.range(0, 3);

@@ -15,10 +15,11 @@ use crate::fault::{CommAbort, FaultAction, FaultKill, FaultState};
 use crate::message::{Packet, Payload, WirePacket};
 use crate::span::SpanObserver;
 use crate::trace::{Event, RankTrace};
-use crossbeam::channel::{Receiver, RecvTimeoutError, Sender, TryRecvError};
-use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::HashMap;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -45,13 +46,15 @@ pub(crate) struct World {
     pub(crate) faulty: bool,
 }
 
-/// Per-rank state shared by every communicator this rank derives.
+/// Per-rank state shared by every communicator this rank derives. It is
+/// built inside the rank's thread and never leaves it (the channel's
+/// receiver is not `Sync`), so it is shared by `Rc` and needs no locks.
 pub(crate) struct RankShared {
     pub(crate) world: Arc<World>,
     pub(crate) world_rank: usize,
     rx: Receiver<WirePacket>,
     /// Messages that arrived but did not match an outstanding receive.
-    pending: Mutex<Vec<WirePacket>>,
+    pending: RefCell<Vec<WirePacket>>,
     /// Per-destination send sequence numbers (for trace replay matching).
     send_seq: Vec<AtomicU64>,
     pub(crate) trace: Arc<RankTrace>,
@@ -74,13 +77,13 @@ impl RankShared {
         fault: Option<Arc<FaultState>>,
         cancel: Option<CancelToken>,
         spans: Option<Arc<dyn SpanObserver>>,
-    ) -> Arc<Self> {
+    ) -> Rc<Self> {
         let n = world.senders.len();
-        Arc::new(RankShared {
+        Rc::new(RankShared {
             world,
             world_rank,
             rx,
-            pending: Mutex::new(Vec::new()),
+            pending: RefCell::new(Vec::new()),
             send_seq: (0..n).map(|_| AtomicU64::new(0)).collect(),
             trace,
             fault,
@@ -92,7 +95,7 @@ impl RankShared {
 
 /// A communicator: this rank's view of an ordered group of world ranks.
 pub struct Comm {
-    shared: Arc<RankShared>,
+    shared: Rc<RankShared>,
     /// Context id separating traffic of different communicators.
     ctx: u64,
     /// This rank's position within `members`.
@@ -116,7 +119,7 @@ pub(crate) fn mix(a: u64, b: u64, c: u64) -> u64 {
 
 impl Comm {
     /// Build the world communicator for one rank (runtime use).
-    pub(crate) fn world(shared: Arc<RankShared>) -> Comm {
+    pub(crate) fn world(shared: Rc<RankShared>) -> Comm {
         let n = shared.world.senders.len();
         let members: Vec<usize> = (0..n).collect();
         let world_to_local = members.iter().map(|&w| (w, w)).collect();
@@ -364,7 +367,7 @@ impl Comm {
 
     /// Take the first matching packet already queued in `pending`.
     fn match_pending(&self, src: usize, tag: u64) -> Option<Packet> {
-        let mut pending = self.shared.pending.lock();
+        let mut pending = self.shared.pending.borrow_mut();
         let pos = pending.iter().position(|p| self.matches(p, src, tag))?;
         let pkt = pending.remove(pos);
         drop(pending);
@@ -380,7 +383,7 @@ impl Comm {
                     if self.matches(&pkt, src, tag) {
                         return Some(self.deliver(pkt));
                     }
-                    self.shared.pending.lock().push(pkt);
+                    self.shared.pending.borrow_mut().push(pkt);
                 }
                 Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => return None,
             }
@@ -455,7 +458,7 @@ impl Comm {
                     if self.matches(&pkt, src, tag) {
                         return Ok(self.deliver(pkt));
                     }
-                    self.shared.pending.lock().push(pkt);
+                    self.shared.pending.borrow_mut().push(pkt);
                 }
                 Err(RecvTimeoutError::Timeout) => continue,
                 Err(RecvTimeoutError::Disconnected) => return Err(Error::Disconnected),
@@ -526,7 +529,7 @@ impl Comm {
             members.iter().enumerate().map(|(l, &w)| (w, l)).collect();
         let rank = world_to_local[&self.shared.world_rank];
         Comm {
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             ctx: mix(self.ctx, seq.wrapping_add(1), color as u64),
             rank,
             members: Arc::new(members),

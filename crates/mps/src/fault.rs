@@ -14,9 +14,8 @@
 //! The recorded [`FaultEvent`] log makes that property testable.
 
 use crate::message::WirePacket;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What the injector does to one message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,25 +220,31 @@ impl FaultState {
     pub(crate) fn decide_send(&self, src: usize, dst: usize, seq: u64) -> FaultAction {
         let action = self.plan.decide(src, dst, seq);
         if action != FaultAction::Deliver {
-            self.events.lock().push(FaultEvent::Message {
-                src,
-                dst,
-                seq,
-                action,
-            });
+            self.events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(FaultEvent::Message {
+                    src,
+                    dst,
+                    seq,
+                    action,
+                });
         }
         action
     }
 
     /// Hold a delayed packet destined for world rank `dst`.
     pub(crate) fn hold(&self, dst: usize, pkt: WirePacket) {
-        self.held.lock().push((dst, pkt));
+        self.held
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push((dst, pkt));
     }
 
     /// Release every held packet for `dst` (called after a later send to
     /// `dst`, completing the reorder).
     pub(crate) fn release_for(&self, dst: usize) -> Vec<WirePacket> {
-        let mut held = self.held.lock();
+        let mut held = self.held.lock().unwrap_or_else(PoisonError::into_inner);
         let mut out = Vec::new();
         let mut i = 0;
         while i < held.len() {
@@ -254,7 +259,7 @@ impl FaultState {
 
     /// Drain every held packet (flushed when the rank finishes normally).
     pub(crate) fn drain_held(&self) -> Vec<(usize, WirePacket)> {
-        std::mem::take(&mut *self.held.lock())
+        std::mem::take(&mut *self.held.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// True if this rank should die at `step`; logs the kill on first ask.
@@ -262,7 +267,10 @@ impl FaultState {
         match self.plan.kill {
             Some(k) if k.world_rank == world_rank && k.at_step == step => {
                 if !self.killed.swap(true, Ordering::Relaxed) {
-                    self.events.lock().push(FaultEvent::Kill { step });
+                    self.events
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(FaultEvent::Kill { step });
                 }
                 true
             }
@@ -272,7 +280,7 @@ impl FaultState {
 
     /// Take the recorded fault log.
     pub(crate) fn take_events(&self) -> Vec<FaultEvent> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner))
     }
 }
 

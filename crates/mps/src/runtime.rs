@@ -19,9 +19,9 @@ use crate::fault::{CommAbort, FaultEvent, FaultKill, FaultPlan, FaultState};
 use crate::message::WirePacket;
 use crate::span::SpanObserver;
 use crate::trace::{RankTrace, WorldTrace};
-use crossbeam::channel::unbounded;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::channel;
 use std::sync::{Arc, Once};
 
 /// Controlled unwinds (planned kills, comm aborts on a dead peer,
@@ -128,7 +128,7 @@ where
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded::<WirePacket>();
+        let (tx, rx) = channel::<WirePacket>();
         senders.push(tx);
         receivers.push(rx);
     }

@@ -75,8 +75,7 @@ impl SpanObserver for FanoutObserver {
 mod tests {
     use super::*;
     use crate::runtime::{run_world, WorldOptions};
-    use parking_lot::Mutex;
-    use std::sync::Arc;
+    use std::sync::{Arc, Mutex};
 
     #[derive(Default)]
     struct Recorder {
@@ -85,10 +84,10 @@ mod tests {
 
     impl SpanObserver for Recorder {
         fn phase_begin(&self, rank: usize, name: &'static str) {
-            self.events.lock().push((rank, name, true));
+            self.events.lock().unwrap().push((rank, name, true));
         }
         fn phase_end(&self, rank: usize, name: &'static str) {
-            self.events.lock().push((rank, name, false));
+            self.events.lock().unwrap().push((rank, name, false));
         }
     }
 
@@ -105,7 +104,7 @@ mod tests {
             });
         });
         assert!(out.all_ok());
-        let events = rec.events.lock();
+        let events = rec.events.lock().unwrap();
         for rank in 0..3 {
             let mine: Vec<_> = events.iter().filter(|(r, _, _)| *r == rank).collect();
             assert_eq!(
@@ -131,16 +130,16 @@ mod tests {
 
     impl SpanObserver for Lifecycle {
         fn phase_begin(&self, rank: usize, _name: &'static str) {
-            self.events.lock().push((rank, "begin"));
+            self.events.lock().unwrap().push((rank, "begin"));
         }
         fn phase_end(&self, rank: usize, _name: &'static str) {
-            self.events.lock().push((rank, "end"));
+            self.events.lock().unwrap().push((rank, "end"));
         }
         fn rank_started(&self, rank: usize) {
-            self.events.lock().push((rank, "started"));
+            self.events.lock().unwrap().push((rank, "started"));
         }
         fn rank_finished(&self, rank: usize) {
-            self.events.lock().push((rank, "finished"));
+            self.events.lock().unwrap().push((rank, "finished"));
         }
     }
 
@@ -153,7 +152,7 @@ mod tests {
         };
         let out = run_world(2, opts, |c| c.phase("step", || ()));
         assert!(out.all_ok());
-        let events = rec.events.lock();
+        let events = rec.events.lock().unwrap();
         for rank in 0..2 {
             let mine: Vec<&'static str> = events
                 .iter()
@@ -181,7 +180,7 @@ mod tests {
         fan.phase_end(0, "x");
         fan.rank_finished(0);
         let expect = vec![(0, "started"), (0, "begin"), (0, "end"), (0, "finished")];
-        assert_eq!(*a.events.lock(), expect);
-        assert_eq!(*b.events.lock(), expect);
+        assert_eq!(*a.events.lock().unwrap(), expect);
+        assert_eq!(*b.events.lock().unwrap(), expect);
     }
 }

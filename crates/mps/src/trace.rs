@@ -23,11 +23,10 @@
 //!   (barrier, bcast, …), cheap enough to keep even where full event
 //!   recording would be noise.
 
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One traced event on a rank.
@@ -129,9 +128,13 @@ impl RankTrace {
             if ev.is_phase() {
                 self.phase_walls
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .push(self.epoch.elapsed().as_secs_f64());
             }
-            self.events.lock().push(ev);
+            self.events
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(ev);
         }
     }
 
@@ -141,7 +144,7 @@ impl RankTrace {
         if !self.enabled() || flops <= 0.0 {
             return;
         }
-        let mut ev = self.events.lock();
+        let mut ev = self.events.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(Event::Flops(acc)) = ev.last_mut() {
             *acc += flops;
         } else {
@@ -155,7 +158,10 @@ impl RankTrace {
         if !self.enabled() {
             return;
         }
-        let mut counts = self.collectives.lock();
+        let mut counts = self
+            .collectives
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         match counts.iter_mut().find(|(n, _)| *n == name) {
             Some((_, c)) => *c += 1,
             None => counts.push((name, 1)),
@@ -164,22 +170,35 @@ impl RankTrace {
 
     /// Snapshot the event list.
     pub fn events(&self) -> Vec<Event> {
-        self.events.lock().clone()
+        self.events
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Drain the event list (used by the runtime when a rank finishes).
     pub fn take(&self) -> Vec<Event> {
-        std::mem::take(&mut *self.events.lock())
+        std::mem::take(&mut *self.events.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Drain the wall-clock stamps of the phase events.
     pub fn take_walls(&self) -> Vec<f64> {
-        std::mem::take(&mut *self.phase_walls.lock())
+        std::mem::take(
+            &mut *self
+                .phase_walls
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 
     /// Drain the collective counters.
     pub fn take_collectives(&self) -> Vec<(&'static str, u64)> {
-        std::mem::take(&mut *self.collectives.lock())
+        std::mem::take(
+            &mut *self
+                .collectives
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner),
+        )
     }
 }
 

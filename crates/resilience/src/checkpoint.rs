@@ -22,6 +22,7 @@
 //! checksum       u64      FNV-1a over every preceding byte
 //! ```
 
+use crate::fnv1a;
 use agcm_grid::field::Field3D;
 use agcm_grid::history::ByteOrder;
 use std::fmt;
@@ -104,16 +105,6 @@ pub struct ModelCheckpoint {
     pub series: Vec<f64>,
     /// Prognostic fields, in model variable order.
     pub fields: Vec<Field3D>,
-}
-
-/// FNV-1a over a byte slice.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 struct Writer {

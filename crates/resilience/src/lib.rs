@@ -29,9 +29,30 @@ pub mod coordinator;
 pub mod metrics;
 pub mod recovery;
 
+/// 64-bit FNV-1a over a byte slice: the repo's one integrity and
+/// content-address hash (checkpoint records, the fleet store's chunks and
+/// index lines, the server journal, `AgcmConfig::lineage`).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 pub use checkpoint::{CheckpointError, ModelCheckpoint};
 pub use coordinator::{write_coordinated, CheckpointStore, ShardBackend, StoreError};
 pub use metrics::ResilienceMetrics;
 pub use recovery::{
     run_recovered, AttemptFailure, RecoveryError, RecoveryOptions, RunProgress, RunReport,
 };
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn fnv1a_matches_the_standard_vectors() {
+        assert_eq!(super::fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(super::fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+    }
+}

@@ -12,18 +12,16 @@
 //! pattern (temp file + rename), and finished history is dropped. The
 //! compacted log always begins with a `watermark` line carrying the
 //! highest durable id ever seen, so dropping terminal history can never
-//! rewind the server's id counter onto already-used ids (which would
-//! let a new job resume from a dead job's stale checkpoint).
+//! rewind the server's id counter onto already-used ids: durable ids
+//! stay monotonic across restarts, and every log line, lease and trace
+//! keyed on one names exactly one job.
 //!
-//! Checkpoint directories (`<dir>/ckpt/job_<id>`) are deleted when
-//! their job reaches a terminal state, and any directory left behind by
-//! a crash (its job finished but the deletion never ran) is swept at
-//! open — only live jobs keep their checkpoints. When a fleet
-//! checkpoint store is attached ([`Journal::attach_store`]), terminal
-//! cleanup additionally releases the job's lineage lease in the store:
-//! reclamation is then the store's refcounted GC, not directory
-//! removal, so chunks shared with a live same-lineage job are never
-//! touched and a finished job's prefix stays cached for resubmission.
+//! Served jobs keep their checkpoints in the fleet checkpoint store, not
+//! under the journal directory. When the store is attached
+//! ([`Journal::attach_store`]), a terminal job's lineage lease is
+//! released: reclamation is the store's refcounted GC, so chunks shared
+//! with a live same-lineage job are never touched and a finished job's
+//! prefix stays cached for resubmission.
 //!
 //! Crash-consistency argument, per job state:
 //! - crash before `submitted` committed → the client never got an ack;
@@ -31,30 +29,20 @@
 //! - crash after `submitted`, before dispatch → replay finds no
 //!   `terminal`: the job is **requeued** on restart.
 //! - crash after `dispatched` → replay marks it dispatched: the job is
-//!   **resumed** on restart, and because its checkpoint directory is
-//!   derived from its durable id, `run_model_resilient` restarts from
-//!   the last committed checkpoint rather than step 0.
+//!   **resumed** on restart, and because the fleet store keys its
+//!   checkpoints on the config lineage, `run_model_resilient` restarts
+//!   from the last committed checkpoint rather than step 0.
 //! - crash after `terminal` → compaction drops it; it is done.
 
 use agcm_ckptstore::Store;
 use agcm_ensemble::{JobId, JobObserver, JobRecord};
+use agcm_resilience::fnv1a;
 use agcm_telemetry::json::Value;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// FNV-1a, the repo's standard integrity hash (same constants as the
-/// checkpoint store).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A journaled job that has not reached a terminal state — the unit of
 /// recovery.
@@ -108,47 +96,17 @@ pub struct JournalStats {
 /// [`Journal::detach`] makes every subsequent append a no-op, which is
 /// how a crash is simulated without tearing the file.
 pub struct Journal {
-    dir: PathBuf,
     path: PathBuf,
     inner: Mutex<Inner>,
     appended: AtomicU64,
     compacted_live: usize,
     dropped_terminal: usize,
     /// Fleet checkpoint store, when the server runs one. Terminal-job
-    /// cleanup then goes through the store's refcounted lease/GC
-    /// discipline instead of only deleting the per-job directory.
+    /// cleanup then releases the job's lease in the store.
     store: Mutex<Option<Arc<Store>>>,
 }
 
 const LOG_NAME: &str = "jobs.log";
-
-/// Where a job's checkpoints live: derived from the *durable* id so a
-/// restarted server resumes the same shards.
-pub fn checkpoint_dir(journal_dir: &Path, durable_id: u64) -> PathBuf {
-    journal_dir.join("ckpt").join(format!("job_{durable_id}"))
-}
-
-/// Delete checkpoint directories under `dir/ckpt` whose job is not in
-/// `live` — terminal jobs whose cleanup a crash skipped, and rejected
-/// jobs that never ran.
-fn sweep_checkpoints(dir: &Path, live: &[LiveJob]) {
-    let Ok(entries) = std::fs::read_dir(dir.join("ckpt")) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(id) = name
-            .to_str()
-            .and_then(|n| n.strip_prefix("job_"))
-            .and_then(|n| n.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if !live.iter().any(|job| job.id == id) {
-            let _ = std::fs::remove_dir_all(entry.path());
-        }
-    }
-}
 
 impl Journal {
     /// Open (or create) the journal under `dir`: replay the existing
@@ -191,11 +149,9 @@ impl Journal {
             w.get_ref().sync_all()?;
         }
         std::fs::rename(&tmp, &path)?;
-        sweep_checkpoints(dir, &live);
 
         let writer = OpenOptions::new().append(true).open(&path)?;
         let journal = Journal {
-            dir: dir.to_path_buf(),
             path,
             inner: Mutex::new(Inner {
                 writer: Some(BufWriter::new(writer)),
@@ -290,19 +246,14 @@ impl JobObserver for Journal {
                 ("job", Value::Num(durable as f64)),
                 ("status", Value::Str(record.status.label())),
             ]));
-            // A terminal job's checkpoints are dead weight; reclaim them
-            // now rather than letting the ckpt tree grow for the life of
-            // the server. Gated on detach like the append: a simulated
-            // crash must leave checkpoints for the restart to resume.
+            // Release the lineage lease (idempotent with the scheduler's
+            // own release) so the next GC sweep can reclaim the chunks
+            // once no live job shares the lineage. Gated on detach like
+            // the append: a simulated crash journals and releases
+            // nothing. Deliberately no eager `gc()` here: the committed
+            // prefix is the cache a resubmitted or extended-horizon job
+            // resumes from.
             if !self.inner.lock().unwrap().detached {
-                let _ = std::fs::remove_dir_all(checkpoint_dir(&self.dir, durable));
-                // Store-backed jobs keep nothing under the directory
-                // above — their shards live in the fleet store. Release
-                // the lineage lease (idempotent with the scheduler's own
-                // release) so the next GC sweep can reclaim the chunks
-                // once no live job shares the lineage. Deliberately no
-                // eager `gc()` here: the committed prefix is the cache a
-                // resubmitted or extended-horizon job resumes from.
                 if let Some(lineage) = record.lineage {
                     if let Some(store) = self.store.lock().unwrap().as_ref() {
                         store.release(lineage, durable);
@@ -575,44 +526,6 @@ mod tests {
         let (_, live, stats) = Journal::open(&dir).unwrap();
         assert_eq!(stats.corrupt, 1, "torn watermark is counted");
         assert!(live.is_empty());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn terminal_jobs_lose_their_checkpoint_dirs() {
-        let dir = std::env::temp_dir().join(format!("agcm-journal-ckpt-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mk = |id: u64| {
-            let d = checkpoint_dir(&dir, id);
-            std::fs::create_dir_all(&d).unwrap();
-            std::fs::write(d.join("shard_0"), b"x").unwrap();
-            d
-        };
-        {
-            let (journal, _, _) = Journal::open(&dir).unwrap();
-            journal.submitted(1, None, None, &spec());
-            journal.submitted(2, None, None, &spec());
-            let (ck1, ck2, stray) = (mk(1), mk(2), mk(99));
-            // Job 1 finishes normally: its checkpoints go immediately.
-            journal.on_terminal(&terminal_record(1));
-            assert!(!ck1.exists(), "terminal job keeps no checkpoints");
-            assert!(ck2.exists() && stray.exists());
-            // Crash: post-detach terminals must NOT delete checkpoints —
-            // the restart needs them to resume.
-            journal.detach();
-            journal.on_terminal(&terminal_record(2));
-            assert!(ck2.exists(), "detached journal must not delete checkpoints");
-        }
-        // Restart: job 2 is live (its terminal was dropped) and keeps its
-        // checkpoints; the orphaned job_99 dir is swept.
-        let (_, live, _) = Journal::open(&dir).unwrap();
-        assert_eq!(live.len(), 1);
-        assert_eq!(live[0].id, 2);
-        assert!(checkpoint_dir(&dir, 2).exists());
-        assert!(
-            !checkpoint_dir(&dir, 99).exists(),
-            "stray checkpoint dir survives the open sweep"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

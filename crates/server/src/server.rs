@@ -16,7 +16,7 @@
 
 use crate::api::{error_body, record_to_value, result_to_value, view_to_value, JobRequest};
 use crate::http::{read_request, write_response, HttpLimits, ReadError, Request, Response};
-use crate::journal::{checkpoint_dir, Journal};
+use crate::journal::Journal;
 use crate::log::{EventLog, LogLevel};
 use agcm_ckptstore::Store;
 use agcm_ensemble::{
@@ -376,11 +376,7 @@ impl AgcmServer {
                 bounded_tenant(&known_tenants, job.tenant.as_deref()),
             );
             let spec = req
-                .to_spec(
-                    job.tenant.as_deref(),
-                    job.id,
-                    checkpoint_dir(&cfg.journal_dir, job.id),
-                )
+                .to_spec(job.tenant.as_deref(), job.id)
                 .with_shared_store(Arc::clone(&store))
                 .with_trace(trace)
                 .with_sink(collector.sink(job.id));
@@ -973,11 +969,7 @@ fn submit(state: &Arc<ServerState>, req: &Request) -> Response {
     let tenant_label = tenant_metric_label(state, tenant.as_deref()).to_string();
     state.collector.begin_job(durable, trace, &tenant_label);
     let spec = request
-        .to_spec(
-            tenant.as_deref(),
-            durable,
-            checkpoint_dir(&state.cfg.journal_dir, durable),
-        )
+        .to_spec(tenant.as_deref(), durable)
         .with_shared_store(Arc::clone(&state.store))
         .with_trace(trace)
         .with_sink(state.collector.sink(durable));

@@ -47,8 +47,10 @@ impl Node {
     }
 }
 
-/// Deterministic warm color per frame name (FNV-1a hash into a small
-/// orange/red palette, like the canonical flamegraph tooling).
+/// Deterministic warm color per frame name: an FNV-1a-style fold into a
+/// small orange/red palette, like the canonical flamegraph tooling. The
+/// multiplier `0x1_0000_01b3` is not the FNV prime (`0x100_0000_01b3`);
+/// it is kept because it fixes the colours existing flamegraphs show.
 fn color(name: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in name.bytes() {

@@ -28,9 +28,8 @@ use crate::json::Value;
 use crate::run::{RunSummary, StepMetrics};
 use crate::sink::TelemetrySink;
 use crate::tracectx::TraceContext;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// One execution attempt of a job, as seen live.
@@ -112,7 +111,7 @@ impl LiveCollector {
     /// context and tenant label. Idempotent: re-registration after a
     /// journal-replay resubmit keeps the accumulated state.
     pub fn begin_job(&self, job: u64, trace: TraceContext, tenant: &str) {
-        let mut jobs = self.jobs.lock();
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let entry = jobs.entry(job).or_default();
         entry.trace = Some(trace);
         if entry.tenant.is_empty() {
@@ -130,26 +129,36 @@ impl LiveCollector {
 
     /// Root span context of a job, if registered.
     pub fn trace_of(&self, job: u64) -> Option<TraceContext> {
-        self.jobs.lock().get(&job).and_then(|j| j.trace)
+        self.jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&job)
+            .and_then(|j| j.trace)
     }
 
     /// Drop a job's live state (after terminal records are served it can
     /// be reaped by the caller's retention policy; the collector itself
     /// never forgets on its own).
     pub fn forget(&self, job: u64) {
-        self.jobs.lock().remove(&job);
+        self.jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .remove(&job);
     }
 
     /// Number of jobs currently tracked.
     pub fn tracked_jobs(&self) -> usize {
-        self.jobs.lock().len()
+        self.jobs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .len()
     }
 
     /// The sampled profile of a job (with its skew join), once recorded.
     /// Served at `GET /v1/jobs/{id}/profile`; `None` while the job is
     /// still running or if profiling was not enabled for it.
     pub fn job_profile(&self, job: u64) -> Option<Value> {
-        let jobs = self.jobs.lock();
+        let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let j = jobs.get(&job)?;
         let mut pairs = vec![("job", Value::Num(job as f64))];
         if let Some(t) = &j.trace {
@@ -166,7 +175,7 @@ impl LiveCollector {
     /// max-over-ranks of the streamed per-rank sums — the same reduction
     /// `RunSummary::phase_seconds` applies, so the two agree exactly.
     pub fn final_phase_totals(&self, job: u64) -> Option<Vec<(String, f64)>> {
-        let jobs = self.jobs.lock();
+        let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let j = jobs.get(&job)?;
         if j.rank_phase.is_empty() {
             return None;
@@ -184,7 +193,7 @@ impl LiveCollector {
     /// breakdown — virtual totals once finished, live wall accumulations
     /// while running.
     pub fn job_view(&self, job: u64) -> Option<Value> {
-        let jobs = self.jobs.lock();
+        let jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         let j = jobs.get(&job)?;
         let attempts = Value::Arr(
             j.attempts
@@ -306,7 +315,7 @@ impl LiveCollector {
     /// Windowed rollups: the retained windows, oldest first, each with
     /// per-phase wall seconds and per-tenant attempt/finish counts.
     pub fn rollup(&self) -> Value {
-        let windows = self.windows.lock();
+        let windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
         Value::obj(vec![
             ("window_seconds", Value::Num(self.window_secs)),
             (
@@ -354,7 +363,7 @@ impl LiveCollector {
 
     fn window_mut<R>(&self, f: impl FnOnce(&mut Window) -> R) -> R {
         let index = (self.epoch.elapsed().as_secs_f64() / self.window_secs) as u64;
-        let mut windows = self.windows.lock();
+        let mut windows = self.windows.lock().unwrap_or_else(PoisonError::into_inner);
         let fresh = match windows.back() {
             Some(w) => w.index != index,
             None => true,
@@ -372,7 +381,7 @@ impl LiveCollector {
     }
 
     fn with_job<R>(&self, job: u64, f: impl FnOnce(&mut JobLive) -> R) -> R {
-        let mut jobs = self.jobs.lock();
+        let mut jobs = self.jobs.lock().unwrap_or_else(PoisonError::into_inner);
         f(jobs.entry(job).or_default())
     }
 }

@@ -13,9 +13,8 @@
 //! bounded by 2×.
 
 use crate::json::Value;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A monotonically increasing counter.
 #[derive(Debug, Default)]
@@ -221,7 +220,7 @@ pub struct MetricsRegistry {
 }
 
 fn get_or_insert<T: Default>(list: &Mutex<Vec<(String, Arc<T>)>>, name: &str) -> Arc<T> {
-    let mut list = list.lock();
+    let mut list = list.lock().unwrap_or_else(PoisonError::into_inner);
     if let Some((_, v)) = list.iter().find(|(n, _)| n == name) {
         return Arc::clone(v);
     }
@@ -260,18 +259,21 @@ impl MetricsRegistry {
         let mut counters: Vec<(String, u64)> = self
             .counters
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(n, c)| (n.clone(), c.get()))
             .collect();
         let mut gauges: Vec<(String, f64)> = self
             .gauges
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(n, g)| (n.clone(), g.get()))
             .collect();
         let mut histograms: Vec<(String, HistogramSnapshot)> = self
             .histograms
             .lock()
+            .unwrap_or_else(PoisonError::into_inner)
             .iter()
             .map(|(n, h)| (n.clone(), h.snapshot()))
             .collect();

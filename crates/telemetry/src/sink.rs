@@ -8,10 +8,10 @@
 //! records for tests; [`FileSink`] streams them as JSON lines.
 
 use crate::run::{RunSummary, StepMetrics};
-use parking_lot::Mutex;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// A destination for telemetry records.
 ///
@@ -90,22 +90,34 @@ impl MemorySink {
 
     /// Snapshot the recorded steps.
     pub fn steps(&self) -> Vec<StepMetrics> {
-        self.steps.lock().clone()
+        self.steps
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 
     /// Snapshot the recorded run summaries.
     pub fn runs(&self) -> Vec<RunSummary> {
-        self.runs.lock().clone()
+        self.runs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
     }
 }
 
 impl TelemetrySink for MemorySink {
     fn record_step(&self, step: &StepMetrics) {
-        self.steps.lock().push(step.clone());
+        self.steps
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(step.clone());
     }
 
     fn record_run(&self, run: &RunSummary) {
-        self.runs.lock().push(run.clone());
+        self.runs
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(run.clone());
     }
 }
 
@@ -124,7 +136,7 @@ impl FileSink {
     }
 
     fn write_line(&self, line: String) {
-        let mut w = self.writer.lock();
+        let mut w = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
         // Telemetry must never take the model down; drop the record on I/O
         // failure.
         let _ = writeln!(w, "{line}");
